@@ -27,6 +27,7 @@
 #include "common/cli.hpp"
 #include "common/serialize.hpp"
 #include "common/thread_pool.hpp"
+#include "core/md_gan.hpp"
 #include "dist/compression.hpp"
 #include "dist/frame.hpp"
 #include "dist/sim_network.hpp"
@@ -235,18 +236,20 @@ void bench_disc_learning_step(Harness& h) {
 }
 
 void bench_swap_serialization(Harness& h) {
-  // One swap message: flatten + serialize + parse + assign of a full
-  // MLP discriminator (|theta| = 670,219 floats).
+  // One swap message through the swap codec: encode θ of a full MLP
+  // discriminator (|theta| = 670,219 floats) straight from its tensors,
+  // adopt it in place, and recycle the payload storage as the next
+  // encode's buffer — what MdGan does per discriminator per swap.
   Rng rng(8);
   auto arch = gan::make_arch(gan::ArchKind::kMlpMnist);
   auto d = gan::build_discriminator(arch, rng);
+  std::vector<std::uint8_t> wire;
   h.run("BM_SwapSerialization", 0, [&] {
-    auto params = d.flatten_parameters();
-    ByteBuffer buf;
-    buf.write_floats(params.data(), params.size());
-    auto back = buf.read_floats();
-    d.assign_parameters(back);
-    volatile std::size_t sink = buf.size();
+    ByteBuffer buf = core::encode_disc_swap(0, d, std::move(wire));
+    const std::size_t bytes = buf.size();
+    core::adopt_disc_swap(buf, 0, d);
+    wire = buf.release();
+    volatile std::size_t sink = bytes;
     (void)sink;
   });
 }

@@ -3,7 +3,9 @@
 # then smoke-run the simulated-time straggler bench (virtual-clock
 # path), the micro-op bench, and a real loopback TCP training run
 # (server + 2 worker processes) checked bit-for-bit against the
-# simulator, so neither the clock nor the socket path can silently rot.
+# simulator, so neither the clock nor the socket path can silently rot;
+# then a smoke pass of the round-profile benchmark, and the failure
+# drills.
 # Mirrors the command in ROADMAP.md; run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -325,6 +327,13 @@ grep -q 'finite=yes' mdgan_elastic_sim.log || {
   echo "FAIL: leave/rejoin sim run did not complete with finite weights"
   exit 1
 }
+
+echo "--- smoke: round-profile benchmark (roundbench/check.py)"
+# roundbench/round_profile.cpp drives MdGan through the library in its
+# own build tree (.bench_build/); the check fails if that driver stops
+# building, fails its output checks, or stops emitting any metric
+# BENCHMARK.json lists.
+python3 ../roundbench/check.py
 
 echo "--- drill: kill -9 a worker mid-run (unscheduled fail-stop + rejoin)"
 # Three workers, no schedule announcing anything. Worker 3 is SIGKILLed

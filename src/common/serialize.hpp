@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace mdgan {
@@ -60,6 +61,17 @@ class ByteBuffer {
     data_.clear();
     read_pos_ = 0;
   }
+  void reserve(std::size_t n) { data_.reserve(n); }
+
+  // Hands the storage back (capacity intact) and leaves this buffer
+  // empty: the swap codec keeps a received payload's storage as the
+  // next encode's buffer instead of freeing it.
+  std::vector<std::uint8_t> release() {
+    std::vector<std::uint8_t> out = std::move(data_);
+    data_.clear();
+    read_pos_ = 0;
+    return out;
+  }
 
   // Appends raw bytes verbatim (no length header). The caller owns the
   // framing; used by the frame codec and tests.
@@ -79,7 +91,9 @@ class ByteBuffer {
     if constexpr (sizeof(T) > 1 && !detail::kHostLittleEndian) {
       std::reverse(bytes, bytes + sizeof(T));
     }
-    data_.insert(data_.end(), bytes, bytes + sizeof(T));
+    const std::size_t at = data_.size();
+    data_.resize(at + sizeof(T));
+    std::memcpy(data_.data() + at, bytes, sizeof(T));
   }
 
   template <typename T>
@@ -103,8 +117,26 @@ class ByteBuffer {
     return v;
   }
 
+  // [u64 n][n floats]
   void write_floats(const float* src, std::size_t n) {
     write_pod<std::uint64_t>(n);
+    append_floats(src, n);
+  }
+
+  std::vector<float> read_floats() {
+    const auto n = read_pod<std::uint64_t>();
+    if (n > remaining() / sizeof(float)) {
+      throw std::out_of_range("ByteBuffer: float read past end");
+    }
+    std::vector<float> out(n);
+    read_floats_into(out.data(), n);
+    return out;
+  }
+
+  // Header-less float run: the caller owns the count. Lets a codec
+  // stream several tensors into one run without a flat temporary.
+  void append_floats(const float* src, std::size_t n) {
+    if (n == 0) return;  // src may be null
     if constexpr (detail::kHostLittleEndian) {
       const auto* p = reinterpret_cast<const std::uint8_t*>(src);
       data_.insert(data_.end(), p, p + n * sizeof(float));
@@ -113,19 +145,18 @@ class ByteBuffer {
     }
   }
 
-  std::vector<float> read_floats() {
-    const auto n = read_pod<std::uint64_t>();
-    if (read_pos_ + n * sizeof(float) > data_.size()) {
+  // Reads exactly n floats into dst. The length is checked before dst
+  // is touched, so a short payload throws with dst unchanged.
+  void read_floats_into(float* dst, std::size_t n) {
+    if (n > remaining() / sizeof(float)) {
       throw std::out_of_range("ByteBuffer: float read past end");
     }
-    std::vector<float> out(n);
     if constexpr (detail::kHostLittleEndian) {
-      std::memcpy(out.data(), data_.data() + read_pos_, n * sizeof(float));
+      std::memcpy(dst, data_.data() + read_pos_, n * sizeof(float));
       read_pos_ += n * sizeof(float);
     } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = read_pod<float>();
+      for (std::size_t i = 0; i < n; ++i) dst[i] = read_pod<float>();
     }
-    return out;
   }
 
   void write_string(const std::string& s) {

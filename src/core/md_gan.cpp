@@ -18,6 +18,42 @@ std::size_t k_log_n(std::size_t n_workers) {
   return std::max<std::size_t>(1, std::min(k, n_workers));
 }
 
+ByteBuffer encode_disc_swap(std::uint32_t disc_id, nn::Sequential& net,
+                            std::vector<std::uint8_t> storage) {
+  const std::size_t n = net.num_parameters();
+  ByteBuffer buf = ByteBuffer::adopt(std::move(storage));
+  buf.clear();
+  buf.reserve(sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+              n * sizeof(float));
+  buf.write_pod<std::uint32_t>(disc_id);
+  buf.write_pod<std::uint64_t>(n);
+  net.write_parameters(buf);
+  return buf;
+}
+
+void adopt_disc_swap(ByteBuffer& payload, std::uint32_t disc_id,
+                     nn::Sequential& net) {
+  if (payload.remaining() < sizeof(std::uint32_t) + sizeof(std::uint64_t)) {
+    throw std::runtime_error("disc_swap: truncated header (" +
+                             std::to_string(payload.remaining()) + " bytes)");
+  }
+  const auto id = payload.read_pod<std::uint32_t>();
+  if (id != disc_id) {
+    throw std::runtime_error("disc_swap: carries discriminator " +
+                             std::to_string(id) + ", expected " +
+                             std::to_string(disc_id));
+  }
+  const auto n = payload.read_pod<std::uint64_t>();
+  const std::size_t want = net.num_parameters();
+  if (n != want || payload.remaining() != want * sizeof(float)) {
+    throw std::runtime_error(
+        "disc_swap: " + std::to_string(n) + " floats in " +
+        std::to_string(payload.remaining()) + " bytes, expected " +
+        std::to_string(want) + " floats");
+  }
+  net.read_parameters(payload);
+}
+
 MdGan::MdGan(gan::GanArch arch, MdGanConfig cfg,
              std::vector<data::InMemoryDataset> shards, std::uint64_t seed,
              dist::Transport& net,
@@ -192,13 +228,12 @@ std::vector<std::size_t> MdGan::participating_discs(
 
 // In-flight pipelined round: the latents were already drawn from
 // server_rng_ (engine thread, plain draw order); the prefetch thread
-// forwards the θ snapshot and fills `blobs` — one immutable serialized
+// forwards g_snapshot_ and fills `blobs` — one immutable serialized
 // batch each. Complete once prefetch_thread_ is joined.
 struct MdGan::PendingRound {
   std::size_t k_eff = 0;
   std::vector<Tensor> latents;
   std::vector<std::vector<int>> labels;
-  nn::Sequential g_snapshot;
   std::vector<dist::SharedBuf::Segment> blobs;
 };
 
@@ -239,16 +274,17 @@ void MdGan::server_prefetch_round(std::int64_t next_iter,
   // Snapshot θ before the collect phase starts moving g_ (async applies
   // run on this thread, the forward on the prefetch thread — they may
   // not share the model).
-  Rng scratch = Rng(seed_).split(0x1417);
-  p->g_snapshot = gan::build_generator(arch_, scratch);
-  g_.clone_parameters_into(p->g_snapshot);
+  if (g_snapshot_.num_layers() == 0) {
+    Rng scratch = Rng(seed_).split(0x1417);
+    g_snapshot_ = gan::build_generator(arch_, scratch);
+  }
+  g_.clone_parameters_into(g_snapshot_);
   PendingRound* raw = p.get();
   pending_round_ = std::move(p);
-  prefetch_thread_ = std::thread([raw] {
+  prefetch_thread_ = std::thread([this, raw] {
     raw->blobs.reserve(raw->k_eff);
     for (std::size_t j = 0; j < raw->k_eff; ++j) {
-      const Tensor x = raw->g_snapshot.forward(raw->latents[j],
-                                               /*train=*/true);
+      const Tensor x = g_snapshot_.forward(raw->latents[j], /*train=*/true);
       raw->blobs.push_back(encode_batch_blob(x, raw->labels[j]));
     }
   });
@@ -607,22 +643,13 @@ void MdGan::swap_discriminators(const std::vector<int>& present_workers) {
   switch (role_.kind) {
     case NodeRole::Kind::kInProcess:
       for (std::size_t p = 0; p < nd; ++p) {
-        Disc& disc = discs_[alive_discs[p]];
-        const auto params = disc.net.flatten_parameters();
-        ByteBuffer buf;
-        buf.write_pod<std::uint32_t>(
-            static_cast<std::uint32_t>(alive_discs[p]));
-        buf.write_floats(params.data(), params.size());
-        net_.send(disc.holder, targets[p], "disc_swap", std::move(buf));
+        send_swap(alive_discs[p], targets[p]);
       }
       for (std::size_t p = 0; p < nd; ++p) {
-        Disc& disc = discs_[alive_discs[p]];
         auto msg = net_.receive_tagged(targets[p], "disc_swap");
         if (!msg) throw std::logic_error("MdGan swap: missing message");
-        msg->payload.read_pod<std::uint32_t>();
-        disc.net.assign_parameters(msg->payload.read_floats());
-        disc.opt->reset();
-        disc.holder = targets[p];
+        adopt_swap(alive_discs[p], *msg);
+        discs_[alive_discs[p]].holder = targets[p];
       }
       break;
     case NodeRole::Kind::kServer:
@@ -635,14 +662,9 @@ void MdGan::swap_discriminators(const std::vector<int>& present_workers) {
     case NodeRole::Kind::kWorker: {
       const int me = role_.worker_id;
       for (std::size_t p = 0; p < nd; ++p) {
-        Disc& disc = discs_[alive_discs[p]];
-        if (disc.holder != me) continue;
-        const auto params = disc.net.flatten_parameters();
-        ByteBuffer buf;
-        buf.write_pod<std::uint32_t>(
-            static_cast<std::uint32_t>(alive_discs[p]));
-        buf.write_floats(params.data(), params.size());
-        net_.send(me, targets[p], "disc_swap", std::move(buf));
+        if (discs_[alive_discs[p]].holder == me) {
+          send_swap(alive_discs[p], targets[p]);
+        }
       }
       for (std::size_t p = 0; p < nd; ++p) {
         if (targets[p] != me) continue;
@@ -663,13 +685,7 @@ void MdGan::swap_discriminators(const std::vector<int>& present_workers) {
           }
           throw std::logic_error("MdGan swap: missing message");
         }
-        const auto idx = msg->payload.read_pod<std::uint32_t>();
-        if (idx != alive_discs[p]) {
-          throw std::logic_error("MdGan swap: discriminator id mismatch");
-        }
-        Disc& disc = discs_[idx];
-        disc.net.assign_parameters(msg->payload.read_floats());
-        disc.opt->reset();
+        adopt_swap(alive_discs[p], *msg);
       }
       for (std::size_t p = 0; p < nd; ++p) {
         discs_[alive_discs[p]].holder = targets[p];
@@ -677,6 +693,20 @@ void MdGan::swap_discriminators(const std::vector<int>& present_workers) {
       break;
     }
   }
+}
+
+void MdGan::send_swap(std::size_t j, int target) {
+  Disc& disc = discs_[j];
+  net_.send(disc.holder, target, "disc_swap",
+            encode_disc_swap(static_cast<std::uint32_t>(j), disc.net,
+                             std::move(disc.wire)));
+}
+
+void MdGan::adopt_swap(std::size_t j, dist::Message& msg) {
+  Disc& disc = discs_[j];
+  adopt_disc_swap(msg.payload, static_cast<std::uint32_t>(j), disc.net);
+  disc.opt->reset();
+  disc.wire = msg.payload.release();
 }
 
 void MdGan::readmit_worker(int worker, std::int64_t round) {

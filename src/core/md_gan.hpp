@@ -108,6 +108,20 @@ std::optional<dist::Message> receive_resilient(dist::Transport& net, int node,
                                                int sender,
                                                const RecvRetryPolicy& policy);
 
+// Discriminator swap codec (§IV-C1): one `disc_swap` payload is
+// [u32 disc id][u64 n][n little-endian f32 θ], |θ| + 12 bytes, the same
+// bytes as write_pod<u32>(id) + write_floats(flatten_parameters()).
+// encode_disc_swap streams θ straight from the parameter tensors into
+// `storage` (a recycled buffer keeps its capacity, so a warm encode
+// allocates nothing). adopt_disc_swap checks the id, n == |θ| and the
+// exact payload length before writing anything, then copies θ straight
+// into `net`'s tensors; on a malformed payload it throws
+// std::runtime_error and leaves `net` untouched.
+ByteBuffer encode_disc_swap(std::uint32_t disc_id, nn::Sequential& net,
+                            std::vector<std::uint8_t> storage = {});
+void adopt_disc_swap(ByteBuffer& payload, std::uint32_t disc_id,
+                     nn::Sequential& net);
+
 struct MdGanConfig {
   gan::GanHyperParams hp;
   std::size_t k = 1;                // generated batches per iteration
@@ -262,6 +276,10 @@ class MdGan {
     nn::Sequential net;
     std::unique_ptr<opt::Adam> opt;
     int holder = -1;  // worker id hosting this discriminator
+    // Storage of the last swap payload this discriminator arrived in,
+    // reused by its next encode: a steady-state swap allocates nothing
+    // and touches no fresh pages, at the price of one resident |θ|.
+    std::vector<std::uint8_t> wire;
   };
   struct Worker {
     data::InMemoryDataset shard;
@@ -292,7 +310,7 @@ class MdGan {
   // Pipelined double-buffer (cfg_.pipeline, async server roles): draws
   // round `next_iter`'s latents from server_rng_ on the calling engine
   // thread — the RNG stream order is exactly what the plain path would
-  // consume — snapshots θ, and spawns prefetch_thread_ to forward the
+  // consume — snapshots θ into g_snapshot_, and spawns prefetch_thread_ to forward the
   // snapshot and serialize each batch into its shared wire blob while
   // the current round's feedbacks drain. server_generate_and_send
   // adopts the result when its k_eff matches, else discards it.
@@ -330,6 +348,11 @@ class MdGan {
   void server_apply_async(dist::Message&& feedback, std::size_t staleness,
                           std::size_t k_eff);
   void swap_discriminators(const std::vector<int>& present_workers);
+  // Swap halves: ship discriminator j from its holder to `target`; adopt
+  // a received payload into discriminator j (fresh Adam moments) and
+  // keep the payload's storage as j's wire buffer.
+  void send_swap(std::size_t j, int target);
+  void adopt_swap(std::size_t j, dist::Message& msg);
 
   gan::GanArch arch_;
   MdGanConfig cfg_;
@@ -354,6 +377,9 @@ class MdGan {
   struct PendingRound;
   std::unique_ptr<PendingRound> pending_round_;
   std::thread prefetch_thread_;
+  // θ snapshot the prefetch thread forwards: built on first use and
+  // refilled from g_ each prefetch, once the previous one is joined.
+  nn::Sequential g_snapshot_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Disc> discs_;

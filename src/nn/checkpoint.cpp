@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "common/serialize.hpp"
 
@@ -54,8 +55,7 @@ void load_checkpoint(const std::string& path, Sequential& model) {
     throw std::runtime_error("load_checkpoint: short read from " + path);
   }
 
-  ByteBuffer buf;
-  for (std::uint8_t b : raw) buf.write_pod(b);
+  ByteBuffer buf = ByteBuffer::adopt(std::move(raw));
 
   if (buf.read_pod<std::uint32_t>() != kMagic) {
     throw std::runtime_error("load_checkpoint: bad magic in " + path);
@@ -81,11 +81,10 @@ void load_checkpoint(const std::string& path, Sequential& model) {
                                shape_to_string(shape) + " in file vs " +
                                shape_to_string(p->shape()) + " in model");
     }
-    auto values = buf.read_floats();
-    if (values.size() != p->numel()) {
-      throw std::runtime_error("load_checkpoint: truncated tensor data");
+    if (buf.read_pod<std::uint64_t>() != p->numel()) {
+      throw std::runtime_error("load_checkpoint: tensor length mismatch");
     }
-    std::copy(values.begin(), values.end(), p->data());
+    buf.read_floats_into(p->data(), p->numel());
   }
 }
 

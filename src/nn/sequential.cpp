@@ -85,7 +85,41 @@ std::vector<float> Sequential::flatten_gradients() {
 }
 
 void Sequential::clone_parameters_into(Sequential& other) {
-  other.assign_parameters(flatten_parameters());
+  const auto src = params();
+  const auto dst = other.params();
+  if (src.size() != dst.size()) {
+    throw std::invalid_argument(
+        "Sequential::clone_parameters_into: " + std::to_string(src.size()) +
+        " tensors vs " + std::to_string(dst.size()));
+  }
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    if (src[i]->shape() != dst[i]->shape()) {
+      throw std::invalid_argument(
+          "Sequential::clone_parameters_into: tensor " + std::to_string(i) +
+          " is " + shape_to_string(src[i]->shape()) + " vs " +
+          shape_to_string(dst[i]->shape()));
+    }
+  }
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    std::copy_n(src[i]->data(), src[i]->numel(), dst[i]->data());
+  }
+}
+
+void Sequential::write_parameters(ByteBuffer& buf) {
+  for (Tensor* p : params()) buf.append_floats(p->data(), p->numel());
+}
+
+void Sequential::read_parameters(ByteBuffer& buf) {
+  const auto ps = params();
+  std::size_t n = 0;
+  for (Tensor* p : ps) n += p->numel();
+  if (n > buf.remaining() / sizeof(float)) {
+    throw std::out_of_range("Sequential::read_parameters: " +
+                            std::to_string(buf.remaining()) +
+                            " bytes left for " + std::to_string(n) +
+                            " parameters");
+  }
+  for (Tensor* p : ps) buf.read_floats_into(p->data(), p->numel());
 }
 
 std::string Sequential::summary() {

@@ -1,13 +1,15 @@
 // Ordered layer container. This is the "model" type of the repo: every
 // generator, discriminator and scoring classifier is a Sequential. Also
-// provides the flattened parameter view used by discriminator swaps,
-// FL-GAN federated averaging, and serialization onto the simulated wire.
+// provides the flattened parameter view used by FL-GAN federated
+// averaging, and the copy-free parameter stream the discriminator swap
+// puts on the wire.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "nn/layer.hpp"
 
 namespace mdgan::nn {
@@ -16,8 +18,7 @@ class Sequential : public Layer {
  public:
   Sequential() = default;
 
-  // Move-only (layers own state); copy via clone_parameters_into or the
-  // flatten/assign round trip.
+  // Move-only (layers own state); copy via clone_parameters_into.
   Sequential(Sequential&&) = default;
   Sequential& operator=(Sequential&&) = default;
 
@@ -50,8 +51,17 @@ class Sequential : public Layer {
   std::vector<float> flatten_parameters();
   void assign_parameters(const std::vector<float>& flat);
   std::vector<float> flatten_gradients();
-  // Copies this model's parameters into `other` (must be same arch).
+  // Copies this model's parameters into `other` tensor by tensor. Throws
+  // std::invalid_argument, with `other` untouched, unless the two have
+  // the same tensor count and shapes.
   void clone_parameters_into(Sequential& other);
+  // Appends the parameters to `buf` as one header-less float run in
+  // flatten order, straight from the tensors.
+  void write_parameters(ByteBuffer& buf);
+  // Reads num_parameters() floats from `buf` straight into the tensors.
+  // Throws std::out_of_range, with every tensor untouched, when `buf`
+  // holds fewer.
+  void read_parameters(ByteBuffer& buf);
 
   std::string summary();
 

@@ -31,8 +31,8 @@ std::atomic<std::uint64_t> g_next_tracer_id{1};
 // Per-thread slot caching the buffer of the tracer this thread last
 // emitted into. The id check (ids are process-unique and never reused)
 // makes a stale slot — a destroyed tracer, or a switch to another
-// tracer — fall through to re-registration instead of touching freed
-// memory.
+// tracer — fall through to the tracer's own lookup instead of touching
+// freed memory.
 struct Slot {
   std::uint64_t tracer_id = 0;
   void* buf = nullptr;
@@ -85,9 +85,21 @@ Tracer::ThreadBuf* Tracer::local_buf() {
   if (t_slot.tracer_id == id_) {
     return static_cast<ThreadBuf*>(t_slot.buf);
   }
+  const std::thread::id me = std::this_thread::get_id();
   std::lock_guard<std::mutex> lock(mu_);
+  // A slot miss is also a thread switching back from another tracer:
+  // reuse its buffer (and tid) rather than registering one per switch.
+  // A new thread that inherits an exited thread's id inherits its
+  // buffer too; the two never run at once.
+  for (const auto& b : bufs_) {
+    if (b->owner == me) {
+      t_slot = {id_, b.get()};
+      return b.get();
+    }
+  }
   bufs_.push_back(std::make_unique<ThreadBuf>());
   ThreadBuf* buf = bufs_.back().get();
+  buf->owner = me;
   buf->tid = static_cast<std::uint32_t>(bufs_.size());
   buf->events.reserve(std::min<std::size_t>(max_events_, 4096));
   t_slot = {id_, buf};

@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace mdgan::obs {
@@ -148,6 +149,7 @@ class Tracer {
 
  private:
   struct ThreadBuf {
+    std::thread::id owner;
     std::uint32_t tid = 0;
     std::vector<TraceEvent> events;
   };

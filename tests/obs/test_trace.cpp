@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -90,6 +91,28 @@ TEST(Tracer, BufferCapDropsAndCounts) {
   const auto events = t.snapshot();
   ASSERT_EQ(events.size(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(events[i].iter, i);
+}
+
+TEST(Tracer, AlternatingTracersKeepOneBufferPerThread) {
+  // One thread switching between two tracers (a role-split test runs a
+  // server and a worker sink side by side) must keep a single buffer,
+  // and so a single tid, in each: tids number the buffers in
+  // registration order, so a buffer per switch would show as 1, 2, 3...
+  Tracer a;
+  Tracer b;
+  for (int i = 0; i < 1000; ++i) {
+    Span s(i % 2 == 0 ? &a : &b, "x", Cat::kPhase, 0, i);
+  }
+  for (const Tracer* t : {&a, &b}) {
+    const auto events = t->snapshot();
+    ASSERT_EQ(events.size(), 500u);
+    for (const auto& ev : events) EXPECT_EQ(ev.tid, 1u);
+  }
+  // A second thread still gets a buffer of its own.
+  std::thread([&] { Span s(&a, "y", Cat::kPhase, 0); }).join();
+  const auto events = a.snapshot();
+  ASSERT_EQ(events.size(), 501u);
+  EXPECT_EQ(events.back().tid, 2u);
 }
 
 TEST(Tracer, LongNamesAreTruncatedNotOverrun) {
